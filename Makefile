@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build test vet race lint lint-go fuzz-presence bench-witness bench-workers bench-static bench bench-scaling cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke eval
+.PHONY: check build test vet race lint lint-go fuzz-presence bench-witness bench-workers bench-static bench bench-scaling cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke perfbench-test eval
 
-check: vet build test race lint lint-go cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke bench-scaling
+check: vet build test race perfbench-test lint lint-go cache-smoke trace-smoke daemon-smoke audit-smoke follow-smoke obs-smoke bench-scaling
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark driver is a module of its own (jmake/perfbench, replacing
+# jmake with this checkout), so the root `go test ./...` never compiles it;
+# vet and test it here so API changes it depends on fail `make check`.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Quick iteration loop: skips the long chaos seed sweeps.
 short:

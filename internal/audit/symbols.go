@@ -3,9 +3,7 @@ package audit
 import (
 	"fmt"
 	"sort"
-	"strings"
 
-	"jmake/internal/kconfig"
 	"jmake/internal/presence"
 )
 
@@ -176,11 +174,11 @@ func checkArchSymbols(ac *archCtx) (flagged []symIssue, applicable map[string]bo
 }
 
 // chainFormula conjoins the symbol's enabled-formula with the depends-on
-// implications of every symbol reachable through it, to a fixed depth.
-// Each symbol is constrained at most once, so self-dependencies and
-// cycles terminate; select targets stay unconstrained (a select can raise
-// them past their depends-on). Symbols beyond the depth bound stay free,
-// which only widens satisfiability and keeps SatNo proofs sound.
+// implications (presence.DependsImplication) of every symbol reachable
+// through it, to a fixed depth. Each symbol is constrained at most once,
+// so self-dependencies and cycles terminate. Symbols beyond the depth
+// bound stay free, which only widens satisfiability and keeps SatNo
+// proofs sound.
 func chainFormula(ac *archCtx, name string) presence.Formula {
 	kt := ac.kt
 	f := presence.SymbolEnabled(kt, name)
@@ -192,31 +190,10 @@ func chainFormula(ac *archCtx, name string) presence.Formula {
 				continue
 			}
 			done[sym] = true
-			base := strings.TrimPrefix(sym, "CONFIG_")
-			root, isMod := base, false
-			if kt.Symbol(base) == nil {
-				r, ok := strings.CutSuffix(base, "_MODULE")
-				if !ok {
-					continue
-				}
-				root, isMod = r, true
+			if imp := presence.DependsImplication(kt, ac.selects, sym); imp != nil {
+				f = presence.And(f, imp)
+				added = true
 			}
-			s := kt.Symbol(root)
-			if s == nil || ac.selects[root] || s.DependsOn == nil {
-				continue
-			}
-			enabled, isYes := presence.DependsFormulas(kt, s.DependsOn)
-			yVar := presence.Symbol("CONFIG_" + root)
-			mVar := presence.Symbol("CONFIG_" + root + "_MODULE")
-			switch {
-			case isMod:
-				f = presence.And(f, presence.Implies(mVar, enabled))
-			case s.Type == kconfig.TypeTristate:
-				f = presence.And(f, presence.Implies(yVar, isYes))
-			default:
-				f = presence.And(f, presence.Implies(yVar, enabled))
-			}
-			added = true
 		}
 		if !added {
 			break

@@ -27,15 +27,20 @@
 // unsound). Failure entries embed paths in their message, so they only
 // ever serve for the exact root path that produced them.
 //
-// Concurrency follows the TokenCache discipline: a per-probe-key
-// in-flight election makes every distinct result computed exactly once,
-// so hit/miss counters are worker-count-invariant. (They are NOT
+// Concurrency: a per-probe-key in-flight election makes every distinct
+// result computed exactly once, so hit/miss counters are
+// worker-count-invariant, as memo.Memo's are. (They are NOT
 // warmth-invariant — a warm start from disk legitimately converts misses
 // to hits — which is why they live with the volatile runtime metrics,
-// never in the default reproducible report.) The store itself is split
-// into shards addressed by probe-key prefix, each with its own mutex, so
-// workers probing different translation units never serialize on one
-// lock; only the recency sequence is global (a single atomic counter).
+// never in the default reproducible report.) The cache keeps its own keyed
+// lease instead of using memo because its shape is not compute-once:
+// a missing Probe hands the lease to its caller, who computes outside the cache and
+// ends it with Store*/Cancel, and one key holds several manifest
+// candidates that every probe re-verifies against the current tree. The
+// store is split into shards addressed by probe-key prefix, each with its
+// own mutex, so workers probing different translation units never
+// serialize on one lock; only the recency sequence is global (a single
+// atomic counter).
 package ccache
 
 import (

@@ -470,7 +470,7 @@ func (c *Checker) newBuilders(report *PatchReport, mutatedTree *fstree.Tree, arc
 		// a build directory that survived — the full set-up price is still
 		// charged into the report (byte-identity), but lands in the saved
 		// ledger instead of effective time.
-		wasWarm := c.warm.markSetup(archName + "|" + choice.Kind.String() + "|" + choice.Path)
+		wasWarm := c.warm.markSetup(configKey{archName, choice.Kind, choice.Path})
 		ib.WarmSetup, ib.SetupSaved = wasWarm, &c.warm.setupSavedNS
 		ob.WarmSetup, ob.SetupSaved = wasWarm, &c.warm.setupSavedNS
 	}

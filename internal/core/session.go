@@ -10,6 +10,7 @@ import (
 	"jmake/internal/fstree"
 	"jmake/internal/kbuild"
 	"jmake/internal/kconfig"
+	"jmake/internal/memo"
 	"jmake/internal/metrics"
 	"jmake/internal/vclock"
 )
@@ -89,12 +90,9 @@ func (s *Session) ResultCacheStats() (ccache.StatsSet, bool) {
 // effective time a check costs, never what it says. Idempotent.
 func (s *Session) EnableWarm() {
 	if s.warm == nil {
-		s.warm = newWarmState()
+		s.warm = newWarmState(s.metrics)
 	}
 }
-
-// WarmEnabled reports whether EnableWarm was called.
-func (s *Session) WarmEnabled() bool { return s.warm != nil }
 
 // WarmSaved snapshots the warm-session ledgers (zero when not warm).
 func (s *Session) WarmSaved() WarmLedger {
@@ -124,13 +122,6 @@ type RefreshSummary struct {
 	ChoicesDropped int
 	StaticsDropped int
 	SetupDropped   int
-}
-
-// Changed reports whether the refresh invalidated anything.
-func (r RefreshSummary) Changed() bool {
-	return r.MetaReloaded || r.ArchesRebuilt || r.KconfigReset ||
-		len(r.ConfigsInvalidated) > 0 || r.ChoicesDropped > 0 ||
-		r.StaticsDropped > 0 || r.SetupDropped > 0
 }
 
 // Refresh advances the session past a commit: given the tree after the
@@ -187,7 +178,7 @@ func (s *Session) Refresh(tree *fstree.Tree, changed []string) (RefreshSummary, 
 		}
 		s.meta = meta
 		sum.MetaReloaded = true
-		archTouched = true   // rediscover against the new metadata
+		archTouched = true    // rediscover against the new metadata
 		kconfigTouched = true // drop everything valuation-shaped
 	}
 	if archTouched {
@@ -207,18 +198,16 @@ func (s *Session) Refresh(tree *fstree.Tree, changed []string) (RefreshSummary, 
 	}
 	if s.warm != nil {
 		if archTouched || makefileTouched {
-			sum.ChoicesDropped += s.warm.dropAllChoices()
+			sum.ChoicesDropped += s.warm.archChoices.Forget(memo.All)
 		}
 		if archTouched || kconfigTouched {
-			sum.StaticsDropped += s.warm.dropAllStatics()
+			sum.StaticsDropped += s.warm.statics.Forget(memo.All)
 		}
 		switch {
 		case kconfigTouched || makefileTouched:
-			sum.SetupDropped += s.warm.dropAllSetup()
+			sum.SetupDropped += s.warm.setupDone.Forget(memo.All)
 		case archTouched:
-			for _, a := range sortedKeys(archSet) {
-				sum.SetupDropped += s.warm.dropSetupArch(a)
-			}
+			sum.SetupDropped += s.warm.setupDone.Forget(func(k configKey) bool { return archSet[k.arch] })
 		}
 	}
 	return sum, nil

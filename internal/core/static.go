@@ -61,9 +61,20 @@ func (c *Checker) staticArch(name string) *archStatic {
 		// Session.Refresh drops entries when their inputs change.
 		return c.warm.staticArch(c, name)
 	}
-	if as, ok := c.statics[name]; ok {
-		return as
+	as, ok := c.statics[name]
+	if !ok {
+		as = c.loadStatic(name)
+		if c.statics == nil {
+			c.statics = make(map[string]*archStatic)
+		}
+		c.statics[name] = as
 	}
+	return as
+}
+
+// loadStatic computes one architecture's Kconfig knowledge (nil for an
+// unknown architecture; a parse failure is recorded in err).
+func (c *Checker) loadStatic(name string) *archStatic {
 	arch := c.arches[name]
 	if arch == nil {
 		return nil
@@ -73,10 +84,6 @@ func (c *Checker) staticArch(name string) *archStatic {
 	if as.err == nil {
 		as.selects = as.kt.SelectTargets()
 	}
-	if c.statics == nil {
-		c.statics = make(map[string]*archStatic)
-	}
-	c.statics[name] = as
 	return as
 }
 

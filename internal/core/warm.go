@@ -1,10 +1,12 @@
 package core
 
 import (
-	"strconv"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
+
+	"jmake/internal/memo"
+	"jmake/internal/metrics"
 )
 
 // warmState carries the per-session caches and effective-time ledgers that
@@ -14,26 +16,28 @@ import (
 //
 // The dependability contract: nothing cached here may ever change a
 // report byte. Cached arch choices and static Kconfig knowledge are pure
-// recomputations of session-invariant inputs, invalidated by
-// Session.Refresh the moment a commit touches those inputs; the ledgers
-// only measure how much *effective* (wall-clock-analogue) time the warmth
-// saved, while reported durations keep charging the full cold price.
+// recomputations of session-invariant inputs, held in memo.Memo caches
+// (one computer per key even across concurrent follower batches, failures
+// never cached) and invalidated by Session.Refresh the moment a commit
+// touches those inputs; the ledgers only measure how much *effective*
+// (wall-clock-analogue) time the warmth saved, while reported durations
+// keep charging the full cold price.
 type warmState struct {
-	mu sync.Mutex
-	// archChoices caches Checker.selectArches results. Key:
-	// path|useDefconfigs|tryAllMod. Values are returned as shallow copies
-	// so callers may reorder the slice; the inner Configs slices are never
-	// mutated by callers (mergeArchChoices copies before appending).
-	archChoices map[string][]ArchChoice
+	// archChoices caches Checker.selectArches results. Values are returned
+	// as shallow copies so callers may reorder the slice; the inner Configs
+	// slices are never mutated by callers (mergeArchChoices copies before
+	// appending).
+	archChoices *memo.Memo[choiceKey, []ArchChoice]
 	// statics caches per-arch Kconfig knowledge for the static presence
 	// pre-pass, promoted from the per-Checker map so a follower pays the
 	// Kconfig walk once per session instead of once per commit.
-	statics map[string]*archStatic
-	// setupDone marks arch|kind|path builder contexts whose one-time make
-	// set-up already ran this session — the analogue of a build directory
-	// that survives between commits. Builders for a marked context get
-	// WarmSetup and their charged set-up price lands in setupSavedNS.
-	setupDone map[string]bool
+	statics *memo.Memo[string, *archStatic]
+	// setupDone marks (arch, kind, path) builder contexts whose one-time
+	// make set-up already ran this session — the analogue of a build
+	// directory that survives between commits. A hit means the mark was
+	// already there: builders for that context get WarmSetup and their
+	// charged set-up price lands in setupSavedNS.
+	setupDone *memo.Memo[configKey, struct{}]
 
 	// Ledgers (atomic nanoseconds; written from builder/checker hot paths,
 	// read by the follower between commits).
@@ -41,11 +45,17 @@ type warmState struct {
 	setupSavedNS  int64
 }
 
-func newWarmState() *warmState {
+// choiceKey identifies one selectArches call.
+type choiceKey struct {
+	file                     string
+	useDefconfigs, tryAllMod bool
+}
+
+func newWarmState(reg *metrics.Registry) *warmState {
 	return &warmState{
-		archChoices: make(map[string][]ArchChoice),
-		statics:     make(map[string]*archStatic),
-		setupDone:   make(map[string]bool),
+		archChoices: memo.New[choiceKey, []ArchChoice](reg, "warm_arch_choice"),
+		statics:     memo.New[string, *archStatic](reg, "warm_arch_static"),
+		setupDone:   memo.New[configKey, struct{}](reg, "warm_setup"),
 	}
 }
 
@@ -76,17 +86,9 @@ func (w *warmState) addConfigSaved(d time.Duration) {
 
 // markSetup records that the context's set-up is about to run (or ran) and
 // reports whether it had already run this session.
-func (w *warmState) markSetup(key string) (was bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	was = w.setupDone[key]
-	w.setupDone[key] = true
+func (w *warmState) markSetup(k configKey) (was bool) {
+	_, was, _ = w.setupDone.Do(k, func() (struct{}, error) { return struct{}{}, nil })
 	return was
-}
-
-// choiceKey builds the archChoices cache key for one selectArches call.
-func choiceKey(file string, useDefconfigs, tryAllMod bool) string {
-	return file + "|" + strconv.FormatBool(useDefconfigs) + "|" + strconv.FormatBool(tryAllMod)
 }
 
 // selectArches serves the checker's candidate-architecture computation from
@@ -94,90 +96,22 @@ func choiceKey(file string, useDefconfigs, tryAllMod bool) string {
 // (callers reorder it); inner Configs slices are shared, which is safe
 // because no caller appends to a per-file Configs slice in place.
 func (w *warmState) selectArches(c *Checker, file string, useDefconfigs bool) []ArchChoice {
-	key := choiceKey(file, useDefconfigs, c.opts.TryAllModConfig)
-	w.mu.Lock()
-	cached, ok := w.archChoices[key]
-	w.mu.Unlock()
-	if !ok {
-		cached = c.computeSelectArches(file, useDefconfigs)
-		w.mu.Lock()
-		w.archChoices[key] = cached
-		w.mu.Unlock()
-	}
-	if cached == nil {
-		return nil
-	}
-	out := make([]ArchChoice, len(cached))
-	copy(out, cached)
-	return out
+	cached, _, _ := w.archChoices.Do(choiceKey{file, useDefconfigs, c.opts.TryAllModConfig}, func() ([]ArchChoice, error) {
+		return c.computeSelectArches(file, useDefconfigs), nil
+	})
+	return slices.Clone(cached)
 }
 
 // staticArch serves per-arch static Kconfig knowledge from the session
-// cache. Computation happens under the lock: it runs once per arch per
-// session and the underlying Kconfig parse is itself an elected
-// computation, so contention is negligible.
+// cache. Like the config provider, it never caches a failure: transient
+// tree states must not poison the session.
 func (w *warmState) staticArch(c *Checker, name string) *archStatic {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if as, ok := w.statics[name]; ok {
-		return as
-	}
-	arch := c.arches[name]
-	if arch == nil {
-		return nil
-	}
-	as := &archStatic{arch: arch}
-	as.kt, as.err = c.configs.KconfigTree(c.tree, arch)
-	if as.err == nil {
-		as.selects = as.kt.SelectTargets()
-	} else {
-		// Like the config provider, never cache a failure: transient tree
-		// states must not poison the session.
-		return as
-	}
-	w.statics[name] = as
-	return as
-}
-
-// Invalidation — called by Session.Refresh with the session lock semantics
-// documented there (no concurrent checkers).
-
-func (w *warmState) dropAllChoices() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := len(w.archChoices)
-	w.archChoices = make(map[string][]ArchChoice)
-	return n
-}
-
-func (w *warmState) dropAllStatics() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := len(w.statics)
-	w.statics = make(map[string]*archStatic)
-	return n
-}
-
-func (w *warmState) dropAllSetup() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := len(w.setupDone)
-	w.setupDone = make(map[string]bool)
-	return n
-}
-
-// dropSetupArch forgets set-up state for one architecture's contexts
-// (keys are arch|kind|path).
-func (w *warmState) dropSetupArch(archName string) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	prefix := archName + "|"
-	n := 0
-	for k := range w.setupDone {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			delete(w.setupDone, k)
-			n++
+	as, _, _ := w.statics.Do(name, func() (*archStatic, error) {
+		as := c.loadStatic(name)
+		if as == nil {
+			return nil, nil
 		}
-	}
-	return n
+		return as, as.err
+	})
+	return as
 }

@@ -1,78 +1,50 @@
 package cpp
 
 import (
-	"hash/fnv"
-	"sync"
-
+	"jmake/internal/memo"
 	"jmake/internal/metrics"
 )
 
 // TokenCache memoizes the per-file scanning work (logical-line splitting
-// and tokenization) keyed by content identity — the content bytes alone,
+// and tokenization) keyed by content identity — the content string itself,
 // never the path. Headers like the kernel's common includes are
 // preprocessed thousands of times across an evaluation with identical
 // content, frequently under *different* paths (the same header reached
 // via different include dirs, or identical files in sibling drivers);
 // all of them share one entry. Conditional evaluation and macro
 // expansion still run per inclusion (they depend on the macro state),
-// but the lexing does not.
+// but the lexing does not. Because the key is the content, a lookup can
+// only ever serve tokens lexed from exactly these bytes.
 //
 // Cached tokens are shared between preprocessor runs. This is safe
 // because the expansion pipeline treats tokens as values: worklists copy
 // token structs, and hide-set updates copy the slice (see Token.withHide).
 //
-// A TokenCache is safe for concurrent use. Each key is computed exactly
-// once: concurrent first requests for the same content elect one computer
-// and the rest wait on it, so the miss count equals the number of distinct
-// contents regardless of worker count or interleaving — which keeps cache
-// statistics reproducible across -workers settings. The store is split
-// into shards addressed by key prefix so workers scanning different files
-// never contend on one mutex, and each bucket chains entries whose
-// content is verified on every lookup — an FNV-64 collision can therefore
-// never serve the wrong token stream; it only widens one bucket.
+// Both halves of the cache — scanned files and predefined macro sets —
+// are memo.Memo instances, so they follow its election, failure and
+// panic rules: each key is computed exactly once, and the miss count
+// equals the number of distinct contents regardless of worker count.
 type TokenCache struct {
-	shards [tokenShards]tokenShard
-	// Predefined macro sets, elected per key exactly like file entries.
-	// Cardinality is tiny (arches x configurations x MODULE flag), so one
-	// mutex suffices; the build itself runs outside it under the entry's
-	// once.
-	preMu  sync.Mutex
-	preSet map[uint64]*predefEntry
-	// Lookup counters live in the owning registry (metrics.Registry is
-	// the single home for every pipeline counter); these are handles to
-	// the "token_cache_hits"/"token_cache_misses" series.
-	hits   *metrics.Counter
-	misses *metrics.Counter
+	files *memo.Memo[string, *scannedFile]
+	// predefs holds pre-lexed predefined macro sets. Cardinality is tiny
+	// (arches x configurations x MODULE flag); no report reads its
+	// "predefined_cache_*" counters.
+	predefs *memo.Memo[PredefinedKey, *Predefined]
 }
 
-type predefEntry struct {
-	once sync.Once
-	pre  *Predefined
-}
-
-// tokenShards is the shard count; a power of two so the shard index is a
-// mask of the key's top bits. 16 comfortably exceeds the paper's 25
-// worker processes' realistic simultaneous-scan overlap.
-const tokenShards = 16
-
-type tokenShard struct {
-	mu sync.Mutex
-	// entries chains cached files per 64-bit key: every entry in a chain
-	// has the same FNV-64 but (on collision) different content, and
-	// lookups compare content before serving.
-	entries map[uint64][]*cachedFile
-}
-
-type cachedFile struct {
-	once sync.Once
-	// content is the exact bytes this entry was keyed from; lookups
-	// verify it so a hash collision is a chain scan, never a wrong serve.
-	content string
-	// path records the first path the content was seen under — debug
-	// info only, never part of the key.
-	path  string
+type scannedFile struct {
 	lines []logicalLine
 	toks  [][]Token
+}
+
+// PredefinedKey identifies one predefined macro set's content: within one
+// token cache's lifetime (one checker, one discovered arch table) the arch
+// name pins the arch built-ins and include dirs, and the configuration
+// fingerprint covers every CONFIG_* value.
+type PredefinedKey struct {
+	Arch     string
+	ConfigFP uint64
+	Module   bool
 }
 
 // NewTokenCache returns an empty cache counting into a private registry.
@@ -81,98 +53,42 @@ func NewTokenCache() *TokenCache {
 }
 
 // NewTokenCacheIn returns an empty cache whose counters are series in
-// reg, so a shared session registry owns every cache's numbers.
+// reg ("token_cache_hits"/"token_cache_misses"), so a shared session
+// registry owns every cache's numbers.
 func NewTokenCacheIn(reg *metrics.Registry) *TokenCache {
-	c := &TokenCache{
-		preSet: make(map[uint64]*predefEntry),
-		hits:   reg.Counter("token_cache_hits"),
-		misses: reg.Counter("token_cache_misses"),
+	return &TokenCache{
+		files:   memo.New[string, *scannedFile](reg, "token_cache"),
+		predefs: memo.New[PredefinedKey, *Predefined](reg, "predefined_cache"),
 	}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[uint64][]*cachedFile)
-	}
-	return c
-}
-
-// contentKey hashes the content alone: two paths holding identical bytes
-// share one cache entry (the doc'd "keyed by content identity").
-func contentKey(content string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(content))
-	return h.Sum64()
-}
-
-// shardFor maps a key to its shard by prefix (top bits).
-func (c *TokenCache) shardFor(key uint64) *tokenShard {
-	return &c.shards[key>>(64-4)] // top log2(tokenShards) bits
 }
 
 // scan returns the logical lines and per-line tokens for content, from the
-// cache when possible. path is carried as debug information only.
-func (c *TokenCache) scan(path, content string) ([]logicalLine, [][]Token) {
-	key := contentKey(content)
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	var e *cachedFile
-	for _, cand := range sh.entries[key] {
-		if cand.content == content {
-			e = cand
-			break
+// cache when possible. The path is not part of the key.
+func (c *TokenCache) scan(_, content string) ([]logicalLine, [][]Token) {
+	f, _, _ := c.files.Do(content, func() (*scannedFile, error) {
+		lines := logicalLines(content)
+		toks := make([][]Token, len(lines))
+		for i, ll := range lines {
+			toks[i] = Lex(ll.text)
 		}
-	}
-	if e != nil {
-		c.hits.Inc()
-	} else {
-		e = &cachedFile{content: content, path: path}
-		sh.entries[key] = append(sh.entries[key], e)
-		c.misses.Inc()
-	}
-	sh.mu.Unlock()
-
-	e.once.Do(func() {
-		e.lines = logicalLines(content)
-		e.toks = make([][]Token, len(e.lines))
-		for i, ll := range e.lines {
-			e.toks[i] = Lex(ll.text)
-		}
+		return &scannedFile{lines: lines, toks: toks}, nil
 	})
-	return e.lines, e.toks
+	return f.lines, f.toks
 }
 
 // PredefinedFor returns the shared pre-lexed macro set for key, building
-// it at most once per cache via build(). The key must fully identify the
-// define set's content (kbuild hashes the arch name, the configuration
-// fingerprint and the MODULE flag); concurrent first requests elect one
-// builder and the rest wait, the same discipline as scan.
-func (c *TokenCache) PredefinedFor(key uint64, build func() map[string]string) *Predefined {
-	c.preMu.Lock()
-	e, ok := c.preSet[key]
-	if !ok {
-		e = &predefEntry{}
-		c.preSet[key] = e
-	}
-	c.preMu.Unlock()
-	e.once.Do(func() { e.pre = NewPredefined(build()) })
-	return e.pre
+// it at most once per cache via build().
+func (c *TokenCache) PredefinedFor(key PredefinedKey, build func() map[string]string) *Predefined {
+	pre, _, _ := c.predefs.Do(key, func() (*Predefined, error) {
+		return NewPredefined(build()), nil
+	})
+	return pre
 }
 
 // Len returns the number of cached files.
-func (c *TokenCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, chain := range sh.entries {
-			n += len(chain)
-		}
-		sh.mu.Unlock()
-	}
-	return n
-}
+func (c *TokenCache) Len() int { return c.files.Len() }
 
 // Stats returns the lookup counters (a view over the registry series).
 // Misses equal the number of distinct contents ever requested, so both
 // values are invariant under concurrency.
-func (c *TokenCache) Stats() (hits, misses uint64) {
-	return c.hits.Value(), c.misses.Value()
-}
+func (c *TokenCache) Stats() (hits, misses uint64) { return c.files.Stats() }

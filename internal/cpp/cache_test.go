@@ -35,47 +35,32 @@ func TestTokenCacheDedupesAcrossPaths(t *testing.T) {
 	}
 }
 
-// A bucket holding an entry for *different* content (as a real FNV-64
-// collision would produce) must never serve that entry's tokens: lookups
-// verify content, so a collision only widens the chain. FNV-64 preimages
-// are impractical to craft, so the test plants the colliding-bucket state
-// directly — exactly the state a collision would leave behind.
-func TestTokenCacheCollisionNeverServesWrongTokens(t *testing.T) {
+// Distinct contents never share an entry, however alike they are: the key
+// is the content string itself, so a lookup can only serve tokens lexed
+// from exactly the requested bytes. Near-identical contents (one byte
+// apart, or a prefix of one another) each get their own tokens.
+func TestTokenCacheKeysOnExactContent(t *testing.T) {
 	c := NewTokenCache()
-	want := "int real_content;\n"
-	imposterContent := "int imposter;\n"
-	key := contentKey(want)
-
-	// Plant an imposter entry in want's bucket, pre-lexed from different
-	// content, as if contentKey(imposterContent) had collided with key.
-	imposter := &cachedFile{content: imposterContent, path: "imposter.h"}
-	imposter.once.Do(func() {
-		imposter.lines = logicalLines(imposterContent)
-		imposter.toks = [][]Token{Lex("int imposter ;")}
-	})
-	sh := c.shardFor(key)
-	sh.entries[key] = append(sh.entries[key], imposter)
-
-	lines, toks := c.scan("real.h", want)
-	if len(lines) != 1 || lines[0].text != "int real_content;" {
-		t.Fatalf("scan served wrong logical lines: %+v", lines)
+	contents := []string{
+		"int real_content;\n",
+		"int real_contenu;\n",
+		"int real_content;\n\n",
+		"int real_content;",
 	}
-	if len(toks) != 1 || len(toks[0]) != 3 || toks[0][1].Text != "real_content" {
-		t.Fatalf("scan served wrong token stream: %+v", toks)
+	for round := 0; round < 2; round++ {
+		for _, content := range contents {
+			lines, toks := c.scan("same/path.h", content)
+			want := Lex(logicalLines(content)[0].text)
+			if len(lines) == 0 || len(toks) == 0 || len(toks[0]) != len(want) || toks[0][1].Text != want[1].Text {
+				t.Fatalf("round %d: scan(%q) served tokens %+v, want %+v", round, content, toks, want)
+			}
+		}
 	}
-	// The real content was a miss (chain scan found no content match) and
-	// both entries now chain under one bucket.
-	if hits, misses := c.Stats(); hits != 0 || misses != 1 {
-		t.Fatalf("stats = %d hits / %d misses, want 0/1", hits, misses)
+	if hits, misses := c.Stats(); hits != uint64(len(contents)) || misses != uint64(len(contents)) {
+		t.Fatalf("stats = %d hits / %d misses, want %d/%d", hits, misses, len(contents), len(contents))
 	}
-	if got := len(sh.entries[key]); got != 2 {
-		t.Fatalf("bucket chain length = %d, want 2 (imposter + real)", got)
-	}
-
-	// Re-scanning the real content hits its own entry, not the imposter's.
-	_, toks2 := c.scan("real.h", want)
-	if toks2[0][1].Text != "real_content" {
-		t.Fatalf("re-scan served imposter tokens: %+v", toks2)
+	if c.Len() != len(contents) {
+		t.Fatalf("Len() = %d, want %d", c.Len(), len(contents))
 	}
 }
 

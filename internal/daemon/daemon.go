@@ -53,6 +53,7 @@ import (
 	"jmake"
 	"jmake/internal/audit"
 	"jmake/internal/cliopts"
+	"jmake/internal/memo"
 	"jmake/internal/metrics"
 	"jmake/internal/obs"
 	"jmake/internal/trace"
@@ -163,12 +164,11 @@ type Server struct {
 	// the follower; the follower's Interrupt hook reads it.
 	followCtx atomic.Pointer[context.Context]
 
-	// auditOnce computes the whole-tree audit report lazily on the first
+	// audit computes the whole-tree audit report lazily on the first
 	// /audit request; the workspace tree is immutable for the daemon's
-	// lifetime, so the serialized report is cached forever after.
-	auditOnce sync.Once
-	auditJSON []byte
-	auditErr  error
+	// lifetime, so the serialized report is cached forever after (a
+	// failed or panicking run is not, and the next request retries).
+	audit *memo.Memo[struct{}, []byte]
 
 	canaryID   string
 	canaryJSON []byte
@@ -197,6 +197,7 @@ func New(cfg Config) (*Server, error) {
 		sem:   make(chan struct{}, cfg.MaxInFlight),
 		queue: make(chan struct{}, cfg.MaxQueue),
 	}
+	s.audit = memo.New[struct{}, []byte](s.reg, "daemon_audit")
 	s.latency = s.reg.Histogram("request_latency_seconds", latencyBuckets)
 	s.queueWait = s.reg.Histogram("queue_wait_seconds", latencyBuckets)
 	s.inflight = s.reg.Gauge("requests_inflight")
@@ -495,33 +496,35 @@ func (s *Server) handleDebugzRequests(w http.ResponseWriter, r *http.Request) {
 // the serialized bytes are audit.Report.JSON — identical to `jmake-lint
 // -audit -json -baseline <manifest baseline>` over the emitted tree.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	s.auditOnce.Do(func() {
-		ignore := make(map[string]bool, len(s.built.Manifest.AuditBaseline))
-		for _, sym := range s.built.Manifest.AuditBaseline {
-			ignore[sym] = true
-		}
-		s.mu.RLock()
-		session := s.session
-		s.mu.RUnlock()
-		rep, err := audit.Run(audit.Params{
-			Tree:    s.built.Tree,
-			Ignore:  ignore,
-			Workers: s.cfg.MaxInFlight,
-			Kconfig: session.KconfigProvider(s.built.Tree),
-		})
-		if err != nil {
-			s.auditErr = err
-			return
-		}
-		s.auditJSON, s.auditErr = rep.JSON()
-		s.reg.Counter("daemon_audit_runs").Inc()
-	})
-	if s.auditErr != nil {
-		http.Error(w, "audit: "+s.auditErr.Error(), http.StatusInternalServerError)
+	body, _, err := s.audit.Do(struct{}{}, s.runAudit)
+	if err != nil {
+		http.Error(w, "audit: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(s.auditJSON)
+	w.Write(body)
+}
+
+// runAudit audits the workspace tree and serializes the report.
+func (s *Server) runAudit() ([]byte, error) {
+	ignore := make(map[string]bool, len(s.built.Manifest.AuditBaseline))
+	for _, sym := range s.built.Manifest.AuditBaseline {
+		ignore[sym] = true
+	}
+	s.mu.RLock()
+	session := s.session
+	s.mu.RUnlock()
+	rep, err := audit.Run(audit.Params{
+		Tree:    s.built.Tree,
+		Ignore:  ignore,
+		Workers: s.cfg.MaxInFlight,
+		Kconfig: session.KconfigProvider(s.built.Tree),
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.reg.Counter("daemon_audit_runs").Inc()
+	return rep.JSON()
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

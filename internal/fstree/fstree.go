@@ -57,25 +57,10 @@ func (t *Tree) Read(p string) (string, error) {
 }
 
 // Exists reports whether a file exists at p. Directories are implicit:
-// Exists is about files only; use HasDir for directories.
+// Exists is about files only; use Under for directories.
 func (t *Tree) Exists(p string) bool {
 	_, ok := t.files[Clean(p)]
 	return ok
-}
-
-// HasDir reports whether any file lives under directory p.
-func (t *Tree) HasDir(p string) bool {
-	prefix := Clean(p)
-	if prefix == "" {
-		return len(t.files) > 0
-	}
-	prefix += "/"
-	for f := range t.files {
-		if strings.HasPrefix(f, prefix) {
-			return true
-		}
-	}
-	return false
 }
 
 // Remove deletes the file at p.

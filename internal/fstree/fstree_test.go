@@ -52,7 +52,7 @@ func TestWriteReadRemove(t *testing.T) {
 	}
 }
 
-func TestUnderAndHasDir(t *testing.T) {
+func TestUnder(t *testing.T) {
 	tr := New()
 	tr.Write("arch/x86/Makefile", "m")
 	tr.Write("arch/x86/kernel/a.c", "a")
@@ -64,18 +64,12 @@ func TestUnderAndHasDir(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Under(arch/x86) = %v, want %v", got, want)
 	}
-	if !tr.HasDir("arch/arm") {
-		t.Error("HasDir(arch/arm) = false")
-	}
-	if tr.HasDir("arch/mips") {
-		t.Error("HasDir(arch/mips) = true, want false")
-	}
 	if len(tr.Under("")) != 4 {
 		t.Errorf("Under(\"\") len = %d, want 4", len(tr.Under("")))
 	}
 	// "arch/x8" is a prefix of "arch/x86" as a string but not a directory.
-	if tr.HasDir("arch/x8") {
-		t.Error("HasDir(arch/x8) = true, want false: not a real directory")
+	if got := tr.Under("arch/x8"); len(got) != 0 {
+		t.Errorf("Under(arch/x8) = %v, want none: not a real directory", got)
 	}
 }
 

@@ -347,6 +347,52 @@ func TestFollowerRandomStream(t *testing.T) {
 	}
 }
 
+// TestFollowerBatchElectsArchChoicesOnce runs a non-structural batch at
+// Workers: 4 in which several commits edit the same files, so concurrent
+// checks ask the warm session for the same candidate-architecture lists.
+// The arch-choice cache must elect one computer per key: its misses equal
+// the distinct keys it holds afterwards (run under -race by make race).
+func TestFollowerBatchElectsArchChoicesOnce(t *testing.T) {
+	repo, _ := substrate(t)
+	base := repo.Head()
+	var batch []string
+	for round := 0; round < 4; round++ {
+		for _, path := range []string{"drivers/char/core.c", "drivers/char/gampax.c"} {
+			batch = append(batch, appendFn(t, repo, path, fmt.Sprintf("elect%d", round)))
+		}
+	}
+	f, err := NewFollower(repo, base, Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range batch {
+		if Structural(commitPaths(repo, id)) {
+			t.Fatalf("probe commit %s is structural; the batch must be one run", id)
+		}
+	}
+	if err := f.Run(batch, func(r StepResult) bool {
+		if r.Err != nil {
+			t.Errorf("%s: %v", r.Commit, r.Err)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sess := f.Session()
+	hits := sess.Metrics().Counter("warm_arch_choice_hits").Value()
+	misses := sess.Metrics().Counter("warm_arch_choice_misses").Value()
+	sum, err := sess.Refresh(f.tree, []string{"drivers/char/Makefile"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if misses == 0 || hits == 0 {
+		t.Fatalf("arch-choice cache saw %d hits / %d misses; want both > 0", hits, misses)
+	}
+	if misses != uint64(sum.ChoicesDropped) {
+		t.Fatalf("arch-choice misses = %d, want %d (one per distinct key)", misses, sum.ChoicesDropped)
+	}
+}
+
 // TestRunReactive smoke-checks the benchmark harness over a short stream:
 // per-commit entries exist, virtual cost is positive, and warm effective
 // cost lands below virtual once warmed up.

@@ -1,10 +1,8 @@
 package kbuild
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"path"
 	"strings"
 	"sync/atomic"
@@ -271,20 +269,8 @@ func (b *Builder) buildOptions(asModule bool) cpp.Options {
 	}
 	var pre *cpp.Predefined
 	if b.Cache != nil {
-		// The election key must identify the define set's content: the
-		// config fingerprint covers every CONFIG_* value, and within one
-		// token cache's lifetime (one checker, one discovered arch table)
-		// the arch name pins the arch built-ins and include dirs.
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(b.Arch.Name))
-		_, _ = h.Write([]byte{0})
-		var buf [9]byte
-		binary.BigEndian.PutUint64(buf[:8], b.Cfg.Fingerprint())
-		if asModule {
-			buf[8] = 1
-		}
-		_, _ = h.Write(buf[:])
-		pre = b.Cache.PredefinedFor(h.Sum64(), build)
+		key := cpp.PredefinedKey{Arch: b.Arch.Name, ConfigFP: b.Cfg.Fingerprint(), Module: asModule}
+		pre = b.Cache.PredefinedFor(key, build)
 	} else {
 		pre = cpp.NewPredefined(build())
 	}
@@ -590,10 +576,4 @@ func (b *Builder) creditWarmSetup(first bool, delta time.Duration) {
 	if first && b.WarmSetup && b.SetupSaved != nil && delta > 0 {
 		atomic.AddInt64(b.SetupSaved, int64(delta))
 	}
-}
-
-// IsSetupFile reports whether JMake must refuse to mutate this file because
-// the kernel Makefile compiles it during build set-up (paper §V-D).
-func (b *Builder) IsSetupFile(file string) bool {
-	return b.Meta.SetupFiles[fstree.Clean(file)]
 }

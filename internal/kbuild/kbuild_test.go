@@ -402,17 +402,6 @@ func TestWholeBuildFileCost(t *testing.T) {
 	}
 }
 
-func TestIsSetupFile(t *testing.T) {
-	tr := testTree(t)
-	b := newTestBuilder(t, tr, "x86_64", cfgWith())
-	if !b.IsSetupFile("include/linux/compiler_setup.h") {
-		t.Error("setup file not flagged")
-	}
-	if b.IsSetupFile("net/core.c") {
-		t.Error("normal file flagged as setup")
-	}
-}
-
 func TestLoadMakefileKbuildFallback(t *testing.T) {
 	tr := fstree.New()
 	tr.Write("drivers/misc/Kbuild", "obj-$(CONFIG_MISC) += misc.o\n")

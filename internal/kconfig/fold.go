@@ -34,37 +34,6 @@ func FoldExpr[T any](e Expr, fns FoldFuncs[T]) T {
 	return fns.Cmp(e, e, false)
 }
 
-// DependsClosure returns the `depends on` expression of name and of every
-// symbol those dependencies mention, transitively, up to maxDepth levels of
-// indirection (0 collects only name's own clause). Symbols without a clause
-// and undeclared names contribute nothing; the y/m/n literals are skipped.
-func (t *Tree) DependsClosure(name string, maxDepth int) map[string]Expr {
-	out := make(map[string]Expr)
-	frontier := []string{name}
-	for depth := 0; depth <= maxDepth && len(frontier) > 0; depth++ {
-		var next []string
-		for _, n := range frontier {
-			if _, seen := out[n]; seen {
-				continue
-			}
-			s := t.Symbol(n)
-			if s == nil || s.DependsOn == nil {
-				continue
-			}
-			out[n] = s.DependsOn
-			for _, ref := range s.DependsOn.Symbols(nil) {
-				switch ref {
-				case "y", "m", "n":
-					continue
-				}
-				next = append(next, ref)
-			}
-		}
-		frontier = next
-	}
-	return out
-}
-
 // SelectTargets returns the set of symbols forced by any `select` clause in
 // the tree. The fixpoint raises select targets regardless of their own
 // dependencies, so consumers that turn `depends on` into hard constraints

@@ -31,33 +31,6 @@ config SELECTOR
 `)
 }
 
-func TestDependsClosureTwoLevels(t *testing.T) {
-	tree := chainTree(t)
-
-	got := tree.DependsClosure("LEAF", 8)
-	if len(got) != 2 {
-		t.Fatalf("closure = %v, want LEAF and MID clauses", got)
-	}
-	if e := got["LEAF"]; e == nil || e.String() != "MID" {
-		t.Errorf("LEAF clause = %v", got["LEAF"])
-	}
-	if e := got["MID"]; e == nil || e.String() != "(ROOT && !BLOCK)" {
-		t.Errorf("MID clause = %v", got["MID"])
-	}
-
-	// Depth 0 stops at the symbol's own clause.
-	if got := tree.DependsClosure("LEAF", 0); len(got) != 1 || got["LEAF"] == nil {
-		t.Errorf("depth-0 closure = %v", got)
-	}
-	// Symbols without dependencies and undeclared names contribute nothing.
-	if got := tree.DependsClosure("ROOT", 8); len(got) != 0 {
-		t.Errorf("ROOT closure = %v", got)
-	}
-	if got := tree.DependsClosure("NO_SUCH", 8); len(got) != 0 {
-		t.Errorf("undeclared closure = %v", got)
-	}
-}
-
 func TestFoldExprRebuild(t *testing.T) {
 	tree := chainTree(t)
 	fns := FoldFuncs[string]{

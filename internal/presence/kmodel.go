@@ -87,11 +87,11 @@ func UndeclaredKnow(kt *kconfig.Tree) func(string) (bool, bool) {
 
 // KconfigConstraints conjoins what the architecture's Kconfig tree says
 // about the configuration symbols appearing in f: y and m are exclusive
-// values of one option, and a symbol not forced by `select` can only be
-// enabled when its `depends on` allows it. Dependency clauses are expanded
-// one level — symbols they introduce stay unconstrained, which only widens
-// satisfiability and therefore keeps dead proofs sound. selects holds the
-// tree's select targets (kconfig.Tree.SelectTargets).
+// values of one option, and each symbol's DependsImplication. Dependency
+// clauses are expanded one level — symbols they introduce stay
+// unconstrained, which only widens satisfiability and therefore keeps dead
+// proofs sound. selects holds the tree's select targets
+// (kconfig.Tree.SelectTargets).
 func KconfigConstraints(kt *kconfig.Tree, selects map[string]bool, f Formula) Formula {
 	out := True
 	syms := Symbols(f)
@@ -100,43 +100,59 @@ func KconfigConstraints(kt *kconfig.Tree, selects map[string]bool, f Formula) Fo
 		present[s] = true
 	}
 	for _, name := range syms {
-		if !IsConfigSymbol(name) {
-			continue
-		}
-		base := strings.TrimPrefix(name, "CONFIG_")
-		root, isModuleVar := base, false
-		if kt.Symbol(base) == nil {
-			r, ok := strings.CutSuffix(base, "_MODULE")
-			if !ok {
-				continue
-			}
-			root, isModuleVar = r, true
-		}
-		s := kt.Symbol(root)
+		s, root, isModuleVar := configOption(kt, name)
 		if s == nil {
 			continue
 		}
-		yVar := Symbol("CONFIG_" + root)
-		mVar := Symbol("CONFIG_" + root + "_MODULE")
 		if s.Type == kconfig.TypeTristate && !isModuleVar && present["CONFIG_"+root+"_MODULE"] {
-			out = And(out, Not(And(yVar, mVar)))
+			out = And(out, Not(And(Symbol("CONFIG_"+root), Symbol("CONFIG_"+root+"_MODULE"))))
 		}
-		if selects[root] || s.DependsOn == nil {
-			continue
-		}
-		enabled, isYes := DependsFormulas(kt, s.DependsOn)
-		switch {
-		case isModuleVar:
-			out = And(out, Implies(mVar, enabled))
-		case s.Type == kconfig.TypeTristate:
-			// The fixpoint bounds a tristate by its dependency value, so
-			// reaching y needs the dependency at y.
-			out = And(out, Implies(yVar, isYes))
-		default:
-			out = And(out, Implies(yVar, enabled))
+		if imp := DependsImplication(kt, selects, name); imp != nil {
+			out = And(out, imp)
 		}
 	}
 	return out
+}
+
+// DependsImplication is the constraint an option's `depends on` puts on
+// one configuration variable (CONFIG_X, or CONFIG_X_MODULE for X's m
+// value), or nil when there is none: the variable names no declared
+// option, the option has no dependency, or it is a select target (the
+// fixpoint raises select targets past their dependencies). The m value
+// and a bool's y value need the dependency enabled; a tristate's y value
+// needs it at y, because the fixpoint bounds a tristate by its dependency.
+func DependsImplication(kt *kconfig.Tree, selects map[string]bool, name string) Formula {
+	s, root, isModuleVar := configOption(kt, name)
+	if s == nil || selects[root] || s.DependsOn == nil {
+		return nil
+	}
+	enabled, isYes := DependsFormulas(kt, s.DependsOn)
+	switch {
+	case isModuleVar:
+		return Implies(Symbol("CONFIG_"+root+"_MODULE"), enabled)
+	case s.Type == kconfig.TypeTristate:
+		return Implies(Symbol("CONFIG_"+root), isYes)
+	default:
+		return Implies(Symbol("CONFIG_"+root), enabled)
+	}
+}
+
+// configOption resolves a configuration variable to its declared option:
+// CONFIG_X names X, and an undeclared CONFIG_X_MODULE names X's m value.
+// s is nil when neither is declared.
+func configOption(kt *kconfig.Tree, name string) (s *kconfig.Symbol, root string, isModuleVar bool) {
+	if !IsConfigSymbol(name) {
+		return nil, "", false
+	}
+	base := strings.TrimPrefix(name, "CONFIG_")
+	if s := kt.Symbol(base); s != nil {
+		return s, base, false
+	}
+	root, ok := strings.CutSuffix(base, "_MODULE")
+	if !ok {
+		return nil, "", false
+	}
+	return kt.Symbol(root), root, true
 }
 
 // depAbs abstracts a tristate dependency expression into two booleans:

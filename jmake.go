@@ -83,24 +83,13 @@ type (
 	ResultCacheStats = ccache.StatsSet
 )
 
-// NewResultCache returns an empty compile-result cache, e.g. to share one
-// cache across several Sessions via Session.SetResultCache.
-func NewResultCache() *ResultCache { return ccache.New() }
-
 // LoadResultCache returns a compile-result cache warm-started from dir
 // (best-effort: a missing or corrupt cache file just yields a cold cache).
-// Persist it back with SaveResultCache after checking.
+// Persist it back with its Save method after checking.
 func LoadResultCache(dir string) *ResultCache {
 	c := ccache.New()
 	c.Load(dir)
 	return c
-}
-
-// SaveResultCache persists a cache to dir for future LoadResultCache
-// calls, evicting least-recently-used entries beyond maxBytes (0 = the
-// 64 MiB default).
-func SaveResultCache(c *ResultCache, dir string, maxBytes int64) error {
-	return c.Save(dir, maxBytes)
 }
 
 // Re-exported statuses.
